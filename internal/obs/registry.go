@@ -212,9 +212,9 @@ type Registry struct {
 	// fan-out (a sequential call adds to neither); ParallelNs times only
 	// the calls that actually fanned out, so it partitions a subset of
 	// InstantiateNs observations rather than all of them.
-	ParallelWorkers       Counter   // worker goroutines launched by parallel fan-outs
+	ParallelWorkers       Counter   // workers (caller included) running pivot fan-outs
 	ParallelChunks        Counter   // pivot chunks dispatched to workers
-	ParallelSteals        Counter   // level fan-outs split across idle workers (work stealing)
+	ParallelSteals        Counter   // extra segments wide levels were split into
 	InstantiateParallelNs Histogram // latency of instantiations that fanned out
 
 	// viewobject: the materialized view-object cache (Materializer).

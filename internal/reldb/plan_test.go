@@ -1,7 +1,6 @@
 package reldb
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -176,69 +175,6 @@ func TestPlanCacheColdAfterClone(t *testing.T) {
 	// The old pinned version still answers from its own (warm) cache.
 	if out, err := rel.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil || len(out) != 1 {
 		t.Fatalf("old version lookup = %v, %v", out, err)
-	}
-}
-
-func TestSelectParallelMatchesSelect(t *testing.T) {
-	r := newGradesRel(t)
-	// Enough rows to clear selectParallelMinRows.
-	for i := 0; i < selectParallelMinRows+100; i++ {
-		g := "A"
-		if i%3 == 0 {
-			g = "B"
-		}
-		if err := r.Insert(grade(fmt.Sprintf("CS%03d", i%7), int64(i), g)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, pred := range []Expr{
-		nil,
-		Eq("Grade", String("B")),
-		Cmp{Op: OpGt, L: Attr{Name: "PID"}, R: Const{V: Int(400)}},
-	} {
-		want, err := r.Select(pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := r.SelectParallel(pred, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pred=%v workers=%d: %d tuples, want %d", pred, workers, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("pred=%v workers=%d: tuple %d = %v, want %v (order must match Select)",
-						pred, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestSelectParallelError(t *testing.T) {
-	r := newGradesRel(t)
-	for i := 0; i < selectParallelMinRows; i++ {
-		if err := r.Insert(grade("CS101", int64(i), "A")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bad := Eq("NoSuchAttr", Int(1))
-	out, err := r.SelectParallel(bad, 4)
-	if err == nil {
-		t.Fatal("expected predicate error")
-	}
-	if out != nil {
-		t.Fatalf("errored SelectParallel returned %d tuples, want nil", len(out))
-	}
-	want, wantErr := r.Select(bad)
-	if want != nil || wantErr == nil {
-		t.Fatal("Select baseline should also error with nil result")
-	}
-	if err.Error() != wantErr.Error() {
-		t.Fatalf("error %q, want Select's %q", err, wantErr)
 	}
 }
 

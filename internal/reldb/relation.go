@@ -3,7 +3,6 @@ package reldb
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"penguin/internal/obs"
 )
@@ -221,78 +220,6 @@ func (r *Relation) Select(pred Expr) ([]Tuple, error) {
 	})
 	if evalErr != nil {
 		return nil, evalErr
-	}
-	return out, nil
-}
-
-// selectParallelMinRows is the relation size below which SelectParallel
-// runs sequentially: chunking and goroutine startup cost more than the
-// scan they would split.
-const selectParallelMinRows = 512
-
-// SelectParallel is Select evaluated on up to `workers` goroutines over
-// contiguous chunks of the key-sorted row set. The result is identical
-// to Select — tuples in primary-key order, nil slice on any predicate
-// evaluation error (the error of the lowest-keyed chunk wins, so the
-// reported error is deterministic). Callers must honor the same
-// immutability contract as Scan: committed relation versions only.
-func (r *Relation) SelectParallel(pred Expr, workers int) ([]Tuple, error) {
-	if workers <= 1 || len(r.rows) < selectParallelMinRows {
-		return r.Select(pred)
-	}
-	eks := make([]string, 0, len(r.rows))
-	for ek := range r.rows {
-		eks = append(eks, ek)
-	}
-	sort.Strings(eks)
-	if workers > len(eks) {
-		workers = len(eks)
-	}
-	chunkResults := make([][]Tuple, workers)
-	chunkErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	per := (len(eks) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(eks) {
-			hi = len(eks)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var out []Tuple
-			for _, ek := range eks[lo:hi] {
-				t := r.rows[ek]
-				if pred != nil {
-					ok, err := EvalBool(pred, Row{Schema: r.schema, Tuple: t})
-					if err != nil {
-						chunkErrs[w] = err
-						return
-					}
-					if !ok {
-						continue
-					}
-				}
-				out = append(out, t.Clone())
-			}
-			chunkResults[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for w := 0; w < workers; w++ {
-		if chunkErrs[w] != nil {
-			return nil, chunkErrs[w]
-		}
-		total += len(chunkResults[w])
-	}
-	out := make([]Tuple, 0, total)
-	for _, chunk := range chunkResults {
-		out = append(out, chunk...)
 	}
 	return out, nil
 }

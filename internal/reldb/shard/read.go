@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 
+	"penguin/internal/par"
 	"penguin/internal/reldb"
 	"penguin/internal/viewobject"
 )
@@ -34,31 +36,16 @@ func (c *Cluster) Instantiate(objName string, q viewobject.Query) ([]*viewobject
 	if err != nil {
 		return nil, err
 	}
-	type chunk struct {
-		insts []*viewobject.Instance
-		err   error
+	n := len(c.dbs)
+	parts, err := par.Map(n, n, n, func(i, _, _ int) ([]*viewobject.Instance, error) {
+		rtx := c.dbs[i].BeginRead()
+		defer rtx.Close()
+		return viewobject.Instantiate(rtx, o.trs[i].Definition(), q)
+	})
+	if err != nil {
+		return nil, err
 	}
-	chunks := make([]chunk, len(c.dbs))
-	done := make(chan int, len(c.dbs))
-	for i := range c.dbs {
-		go func(i int) {
-			rtx := c.dbs[i].BeginRead()
-			defer rtx.Close()
-			insts, err := viewobject.Instantiate(rtx, o.trs[i].Definition(), q)
-			chunks[i] = chunk{insts: insts, err: err}
-			done <- i
-		}(i)
-	}
-	for range c.dbs {
-		<-done
-	}
-	var out []*viewobject.Instance
-	for i := range chunks {
-		if chunks[i].err != nil {
-			return nil, chunks[i].err
-		}
-		out = append(out, chunks[i].insts...)
-	}
+	out := slices.Concat(parts...)
 	// Per-shard results are already pivot-key ordered; a stable sort on
 	// the encoded key merges them deterministically.
 	sort.SliceStable(out, func(a, b int) bool {

@@ -270,18 +270,19 @@ func (w *wal) intervalLoop() {
 }
 
 // syncPass fsyncs the active segment and advances the durability
-// watermark to the append watermark read before the fsync. If a
-// checkpoint rolled segments in between, the roll fsynced the old file
-// under fsyncMu before this pass could acquire it, so the watermark
-// advance is still sound.
+// watermark to the append watermark read before the fsync. It takes
+// fsyncMu before reading the handle — the lock order roll uses — so a
+// checkpoint roll cannot close the handle between the read and the
+// fsync; and if a roll ran before this pass, the roll fsynced the old
+// segment, so the watermark advance is still sound.
 func (w *wal) syncPass() {
+	w.fsyncMu.Lock()
 	w.mu.Lock()
 	target := w.seq
 	f := w.f
 	w.mu.Unlock()
 	var err error
 	if f != nil {
-		w.fsyncMu.Lock()
 		start := time.Now()
 		err = f.Sync()
 		obs.Default.WALFsyncNs.Observe(time.Since(start).Nanoseconds())
@@ -289,8 +290,8 @@ func (w *wal) syncPass() {
 		if w.slot >= 0 {
 			obs.Default.WALFsyncsByShard.At(w.slot).Inc()
 		}
-		w.fsyncMu.Unlock()
 	}
+	w.fsyncMu.Unlock()
 	w.smu.Lock()
 	if err != nil && w.serr == nil {
 		w.serr = fmt.Errorf("reldb: wal fsync: %w", err)

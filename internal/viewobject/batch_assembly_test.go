@@ -1,6 +1,7 @@
 package viewobject_test
 
 import (
+	"fmt"
 	"testing"
 
 	"penguin/internal/obs"
@@ -45,8 +46,8 @@ func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 
 	// run assembles all instances with one configuration: naive selects
 	// the parent-at-a-time path, workers the parallelism budget (1 forces
-	// a sequential batched run, >1 fans out — the fixture's root counts
-	// clear minParallelPivots).
+	// a sequential batched run, >1 fans out wherever a frontier or level
+	// holds at least two minimum-size chunks).
 	run := func(t *testing.T, res structural.Resolver, def *Definition, naive bool, workers int) []string {
 		t.Helper()
 		prevNaive := SetNaiveAssembly(naive)
@@ -66,8 +67,10 @@ func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 			t.Fatal("fixture produced no instances")
 		}
 		for name, got := range map[string][]string{
-			"batched":          run(t, res, def, false, 1),
-			"parallel batched": run(t, res, def, false, 4),
+			"batched":                      run(t, res, def, false, 1),
+			"parallel batched":             run(t, res, def, false, 4),
+			"parallel batched (2 workers)": run(t, res, def, false, 2),
+			"parallel batched (3 workers)": run(t, res, def, false, 3),
 		} {
 			if len(naive) != len(got) {
 				t.Fatalf("naive assembled %d instances, %s %d", len(naive), name, len(got))
@@ -80,21 +83,31 @@ func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 		}
 	}
 
-	t.Run("workload indexed", func(t *testing.T) {
-		w, err := workload.BuildTree(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare(t, w.DB, w.Def)
-	})
-	t.Run("workload index-less", func(t *testing.T) {
-		w, err := workload.BuildTree(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dropAllIndexes(t, w.DB)
-		compare(t, w.DB, w.Def)
-	})
+	workloadCases := func(suffix string, spec workload.TreeSpec) {
+		t.Run("workload indexed"+suffix, func(t *testing.T) {
+			w, err := workload.BuildTree(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compare(t, w.DB, w.Def)
+		})
+		t.Run("workload index-less"+suffix, func(t *testing.T) {
+			w, err := workload.BuildTree(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropAllIndexes(t, w.DB)
+			compare(t, w.DB, w.Def)
+		})
+	}
+	workloadCases("", spec)
+	// 10 and 30 roots are the frontier sizes that once overran the chunk
+	// arithmetic at 2 and 3 workers.
+	for _, roots := range []int{10, 30} {
+		spec := spec
+		spec.Roots = roots
+		workloadCases(fmt.Sprintf(" roots=%d", roots), spec)
+	}
 	t.Run("university omega", func(t *testing.T) {
 		db, g := university.MustNewSeeded()
 		compare(t, db, university.MustOmega(g))

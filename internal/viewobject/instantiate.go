@@ -2,11 +2,12 @@ package viewobject
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"penguin/internal/obs"
+	"penguin/internal/par"
 	"penguin/internal/reldb"
 	"penguin/internal/structural"
 )
@@ -82,8 +83,7 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 	if err != nil {
 		return nil, err
 	}
-	workers := Parallelism()
-	pivots, scanned, err := pivotSelect(pivotRel, q.PivotPred, workers)
+	pivots, scanned, err := pivotSelect(pivotRel, q.PivotPred)
 	if err != nil {
 		return nil, fmt.Errorf("viewobject: %s: pivot selection: %w", def.Name, err)
 	}
@@ -91,6 +91,8 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 	obs.Default.TuplesScanned.Add(scanned)
 	obs.Default.InstTuplesByObject.At(def.obsSlot).Add(scanned)
 	var instances []*Instance
+	workers := Parallelism()
+	chunks := fanOut(len(pivots), workers, chunksPerWorker)
 	switch {
 	case naiveAssembly.Load():
 		for _, pt := range pivots {
@@ -100,9 +102,9 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 			}
 			instances = append(instances, inst)
 		}
-	case workers > 1 && len(pivots) >= minParallelPivots:
+	case chunks >= 2:
 		pstart := time.Now()
-		instances, err = instantiateParallel(res, def, pivots, workers, op)
+		instances, err = instantiateParallel(res, def, pivots, chunks, workers, op)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +112,7 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 		obs.Default.InstantiateParallelNs.Observe(pdur)
 		obs.Default.InstantiateParallelNsByObject.At(def.obsSlot).Observe(pdur)
 	default:
-		instances, err = assembleBatch(res, def, pivots)
+		instances, err = assembleBatch(res, def, pivots, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -143,12 +145,11 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 // tuples actually visited; when it is a range conjunction over one
 // attribute (RangeConjunction + ProbeableRange) it binary-searches the
 // relation version's cached ordered view, charging a full scan only the
-// first time the view is built; otherwise it scans — in parallel when
-// the relation and worker budget warrant it — charging the whole
+// first time the view is built; otherwise it scans, charging the whole
 // relation, which is what a scan visits. Both the naive and batched
 // assembly paths share this selection, so their pivot sets (and scan
 // accounting) are identical by construction.
-func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reldb.Tuple, int64, error) {
+func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr) ([]reldb.Tuple, int64, error) {
 	if pred != nil {
 		if attrs, vals, ok := reldb.EqConjunction(pred); ok && pivotRel.ProbeableEqual(attrs, vals) {
 			var st reldb.MatchStats
@@ -167,7 +168,7 @@ func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reld
 			return pivots, int64(st.Scanned), nil
 		}
 	}
-	pivots, err := pivotRel.SelectParallel(pred, workers)
+	pivots, err := pivotRel.Select(pred)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -178,8 +179,9 @@ func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reld
 // of pivot tuples: create every root first, then fill the whole forest
 // level-at-a-time so all pivots' children at the same definition node
 // come from one batched fetch. It is the sequential unit of work — the
-// parallel path calls it once per pivot chunk.
-func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Tuple) ([]*Instance, error) {
+// parallel path calls it once per pivot chunk. workers is the budget a
+// wide level may fan out over (see fillChildLevel); pivot chunks pass 1.
+func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Tuple, workers int) ([]*Instance, error) {
 	if len(pivots) == 0 {
 		return nil, nil
 	}
@@ -195,7 +197,7 @@ func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Tupl
 		instances = append(instances, inst)
 		roots = append(roots, inst.root)
 	}
-	if err := fillLevel(res, def, roots); err != nil {
+	if err := fillLevel(res, def, roots, workers); err != nil {
 		return nil, err
 	}
 	return instances, nil
@@ -253,7 +255,7 @@ func assembleInstance(res structural.Resolver, def *Definition, pivotTuple reldb
 		}
 		return inst, nil
 	}
-	if err := fillLevel(res, def, []*InstNode{inst.root}); err != nil {
+	if err := fillLevel(res, def, []*InstNode{inst.root}, Parallelism()); err != nil {
 		return nil, err
 	}
 	return inst, nil
@@ -266,76 +268,45 @@ func assembleInstance(res structural.Resolver, def *Definition, pivotTuple reldb
 // back, preserving the per-parent key ordering and dedup semantics of the
 // naive path. The freshly built level then recurses as one batch.
 //
-// A level whose parent set is large enough may be split across idle
-// worker tokens (work stealing, see parallel.go): helper goroutines fill
-// disjoint contiguous parent segments concurrently and the segment
-// results concatenate back in parent order, so the assembled instances
-// are identical to a sequential fill.
-func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) error {
+// A level with enough parents is split over the worker budget (see
+// fillChildLevel); the result is identical to a sequential fill.
+func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode, workers int) error {
 	if len(parents) == 0 {
 		return nil
 	}
 	for _, child := range parents[0].node.Children {
-		level, err := fillChildLevel(res, def, parents, child)
+		level, err := fillChildLevel(res, def, parents, child, workers)
 		if err != nil {
 			return err
 		}
 		obs.Default.LevelFanOut.Observe(int64(len(level)))
-		if err := fillLevel(res, def, level); err != nil {
+		if err := fillLevel(res, def, level, workers); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fillChildLevel builds every parent's children at one definition node,
-// splitting the parent set across stolen worker tokens when the level is
-// wide and spare parallelism exists. Each segment touches only its own
-// parents (AddChild mutates nothing outside the parent node), so the
-// helpers need no locks; segment results concatenate in parent order.
-func fillChildLevel(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
-	helpers := 0
-	if len(parents) >= 2*minStealParents {
-		helpers = grabStealTokens(len(parents)/minStealParents - 1)
-	}
-	if helpers == 0 {
+// fillChildLevel builds every parent's children at one definition node.
+// A wide level splits into contiguous parent segments of at least
+// minChunk parents, filled concurrently on the worker budget. Each
+// segment touches only its own parents (AddChild mutates nothing
+// outside the parent node) and they share res through a
+// lockedResolver; their results concatenate in parent order.
+func fillChildLevel(res structural.Resolver, def *Definition, parents []*InstNode, child *Node, workers int) ([]*InstNode, error) {
+	segs := fanOut(len(parents), workers, 1)
+	if segs < 2 {
 		return fillChildSegment(res, def, parents, child)
 	}
-	defer releaseStealTokens(helpers)
-	obs.Default.ParallelSteals.Add(int64(helpers))
-	segs := helpers + 1
-	per := (len(parents) + segs - 1) / segs
-	results := make([][]*InstNode, segs)
-	errs := make([]error, segs)
-	var wg sync.WaitGroup
-	for s := 1; s < segs; s++ {
-		lo, hi := s*per, (s+1)*per
-		if hi > len(parents) {
-			hi = len(parents)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			results[s], errs[s] = fillChildSegment(res, def, parents[lo:hi], child)
-		}(s, lo, hi)
+	obs.Default.ParallelSteals.Add(int64(segs - 1))
+	res = &lockedResolver{res: res}
+	parts, err := par.Map(len(parents), segs, segs, func(_, lo, hi int) ([]*InstNode, error) {
+		return fillChildSegment(res, def, parents[lo:hi], child)
+	})
+	if err != nil {
+		return nil, err
 	}
-	results[0], errs[0] = fillChildSegment(res, def, parents[:per], child)
-	wg.Wait()
-	total := 0
-	for s := 0; s < segs; s++ {
-		if errs[s] != nil {
-			return nil, errs[s] // lowest-segment error wins: deterministic
-		}
-		total += len(results[s])
-	}
-	level := make([]*InstNode, 0, total)
-	for _, seg := range results {
-		level = append(level, seg...)
-	}
-	return level, nil
+	return slices.Concat(parts...), nil
 }
 
 // fillChildSegment is the sequential unit of a level fill: one batched

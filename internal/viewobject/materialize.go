@@ -434,7 +434,7 @@ func (m *Materializer) applyLocked(rtx *reldb.ReadTx, op obs.Op) (applyVerdict, 
 		rebuildPts = append(rebuildPts, pt)
 	}
 	if len(rebuildPts) > 0 {
-		insts, err := assembleBatch(rtx, m.def, rebuildPts)
+		insts, err := assembleBatch(rtx, m.def, rebuildPts, Parallelism())
 		if err != nil {
 			return applyFallback, err
 		}

@@ -176,7 +176,8 @@ func (f *failingResolver) Relation(name string) (*reldb.Relation, error) {
 }
 
 func TestParallelErrorPropagation(t *testing.T) {
-	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 2, Roots: 12})
+	// 16 roots: enough for the pivot fan-out to split into chunks.
+	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 2, Roots: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +273,8 @@ func TestLevelWorkStealingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two pivots keep the chunked fan-out off (below minParallelPivots),
-	// so any parallelism below comes from level stealing alone.
+	// Two pivots keep the chunked fan-out off (below the chunk-size
+	// floor), so any parallelism below comes from level fan-out alone.
 	prev := SetParallelism(4)
 	defer SetParallelism(prev)
 	before := obs.Capture()
@@ -302,6 +303,40 @@ func TestLevelWorkStealingMatchesSequential(t *testing.T) {
 		if stolen[i].Render() != sequential[i].Render() {
 			t.Fatalf("instance %d differs between stolen and sequential assembly:\n%s\n---\n%s",
 				i, stolen[i].Render(), sequential[i].Render())
+		}
+	}
+}
+
+// A write transaction is a resolver that clones relations lazily into a
+// private map, so level fan-out inside one (vupdate instantiates by key
+// in its Tx) must not resolve relations concurrently. Under -race this
+// fails if the segments share the Tx unguarded.
+func TestLevelFanOutInsideWriteTx(t *testing.T) {
+	// Fanout 16: one instance's middle level is wide enough to split.
+	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 16, Roots: 2, Peninsulas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts, err := Instantiate(w.DB, w.Def, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := SetParallelism(4)
+	defer SetParallelism(prev)
+	for _, want := range insts {
+		tx := w.DB.Begin()
+		before := obs.Capture()
+		got, ok, err := InstantiateByKey(tx, w.Def, want.Key())
+		steals := obs.Capture().Sub(before).Counter("viewobject.parallel.steals")
+		tx.Rollback()
+		if err != nil || !ok {
+			t.Fatalf("InstantiateByKey in a Tx: %v, %v", ok, err)
+		}
+		if steals == 0 {
+			t.Fatal("wide levels inside a Tx did not fan out")
+		}
+		if got.Render() != want.Render() {
+			t.Fatalf("instance assembled in a Tx differs:\n%s\n---\n%s", got.Render(), want.Render())
 		}
 	}
 }

@@ -57,12 +57,14 @@ func TestRunStress(t *testing.T) {
 // every lookup that consulted the cache was either a hit or a miss.
 func TestRunStressParallelReaders(t *testing.T) {
 	// Force a 4-worker budget regardless of GOMAXPROCS so the parallel
-	// path engages even in a GOMAXPROCS=1 CI job.
+	// path engages even in a GOMAXPROCS=1 CI job. 16 roots is the
+	// smallest frontier the pivot fan-out splits (two chunks of the
+	// minimum size).
 	prev := viewobject.SetParallelism(4)
 	defer viewobject.SetParallelism(prev)
 
 	spec := StressSpec{
-		Tree:            TreeSpec{Depth: 2, Width: 2, Fanout: 2, Roots: 8, Peninsulas: 1},
+		Tree:            TreeSpec{Depth: 2, Width: 2, Fanout: 2, Roots: 16, Peninsulas: 1},
 		Readers:         2,
 		ParallelReaders: 3,
 		Writers:         2,

@@ -193,7 +193,7 @@ var (
 	Instantiate      = viewobject.Instantiate
 	InstantiateByKey = viewobject.InstantiateByKey
 	// Parallel instantiation worker budget (also settable with the
-	// PENGUIN_PARALLELISM environment variable and the shell's .parallel).
+	// shell's .parallel; tracks GOMAXPROCS by default).
 	Parallelism    = viewobject.Parallelism
 	SetParallelism = viewobject.SetParallelism
 	// JSON document bridge: instances ↔ nested documents.
