@@ -8,6 +8,8 @@
 package penguin_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"penguin/internal/obs"
 	"penguin/internal/oql"
 	"penguin/internal/reldb"
+	"penguin/internal/serve"
 	"penguin/internal/university"
 	"penguin/internal/viewobject"
 	"penguin/internal/vupdate"
@@ -793,6 +796,87 @@ func BenchmarkShardedCommit(b *testing.B) {
 			if n := obs.Capture().Sub(before).Counter("reldb.cross.commits"); n != 0 {
 				b.Fatalf("%d cross-shard commits on island-only traffic", n)
 			}
+		})
+	}
+}
+
+// E17 — response encoding on the serving tier, the two bodies the HTTP
+// read endpoints send: the Figure 4 answer over the figure4-report
+// extent (50 departments, 150 instances; GET /objects/omega?q=...) and
+// one ω instance over the point-read extent (100 departments; GET
+// /objects/omega/{key}). "reference" writes them the way the tier did
+// before the append encoder — InstanceDoc maps through encoding/json —
+// and "append" the way it does now, straight from the tuples. The bytes
+// are identical (internal/serve's differential tests pin that). Seeding
+// and instantiation happen off the clock, so per-op cost does not
+// depend on b.N.
+func BenchmarkServeEncode(b *testing.B) {
+	instances := func(b *testing.B, depts int, query string) []*viewobject.Instance {
+		db, g := university.New()
+		if err := university.SeedScaled(db, university.ScaleSpec{
+			Departments: depts, StudentsPerDept: 20, FacultyPerDept: 2, CoursesPerDept: 6,
+			GradesPerCourse: 4, DegreesPerDept: 3, CoursesPerDegree: 3,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		om := university.MustOmega(g)
+		q, err := oql.Parse(om, query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts, err := viewobject.Instantiate(db, om, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return insts
+	}
+	reference := func(b *testing.B, v any) int {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(v); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Len()
+	}
+
+	answer := instances(b, 50, "Level = 'graduate' and count(STUDENT) < 5")
+	if len(answer) != 150 {
+		b.Fatalf("Figure 4 answer holds %d instances, want 150", len(answer))
+	}
+	point := instances(b, 100, "CourseID = 'C042-003'")
+	if len(point) != 1 {
+		b.Fatalf("point query holds %d instances, want 1", len(point))
+	}
+	const gen = 1
+	for _, c := range []struct {
+		name string
+		body func(b *testing.B) int
+	}{
+		{"figure4/reference", func(b *testing.B) int {
+			docs := make([]any, len(answer))
+			for i, inst := range answer {
+				docs[i] = serve.InstanceDoc(inst)
+			}
+			return reference(b, map[string]any{"count": len(docs), "generation": gen, "instances": docs})
+		}},
+		{"figure4/append", func(b *testing.B) int {
+			return len(serve.AppendQueryBody(nil, answer, gen))
+		}},
+		{"point/reference", func(b *testing.B) int {
+			return reference(b, serve.InstanceDoc(point[0]))
+		}},
+		{"point/append", func(b *testing.B) int {
+			return len(append(serve.AppendInstance(nil, point[0]), '\n'))
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var n int
+			for i := 0; i < b.N; i++ {
+				n = c.body(b)
+			}
+			b.ReportMetric(float64(n), "bytes/body")
 		})
 	}
 }

@@ -34,7 +34,7 @@ import (
 //	Int           {"int":"<decimal>"}      (string: int64 > 2^53 survives)
 //	Float         {"float":"<shortest>"}   (strconv 'g'/-1 round-trips
 //	                                        every finite float and ±Inf)
-//	Float (NaN)   {"float":"NaN","bits":"<hex of Float64bits>"}
+//	Float (NaN)   {"bits":"<hex of Float64bits>","float":"NaN"}
 //
 // Every form is self-describing, so decoding needs no schema and
 // cross-kind values keep their kind. The decoder additionally accepts
@@ -74,6 +74,99 @@ func EncodeValue(v reldb.Value) any {
 	default:
 		return nil
 	}
+}
+
+// AppendValue appends v's wire form to dst: exactly the bytes a
+// json.Encoder with SetEscapeHTML(false) writes for EncodeValue(v),
+// without the trailing newline. Tagged forms keep encoding/json's key
+// order (map keys sorted bytewise: "bits" before "float").
+func AppendValue(dst []byte, v reldb.Value) []byte {
+	switch v.Kind() {
+	case reldb.KindBool:
+		b, _ := v.AsBool()
+		return strconv.AppendBool(dst, b)
+	case reldb.KindInt:
+		n, _ := v.AsInt()
+		dst = append(dst, `{"int":"`...)
+		dst = strconv.AppendInt(dst, n, 10)
+		return append(dst, `"}`...)
+	case reldb.KindFloat:
+		// The decimal, hex and "NaN" texts are plain ASCII that JSON
+		// strings carry unescaped.
+		f, _ := v.AsFloat()
+		if math.IsNaN(f) {
+			dst = append(dst, `{"bits":"`...)
+			dst = strconv.AppendUint(dst, math.Float64bits(f), 16)
+			return append(dst, `","float":"NaN"}`...)
+		}
+		dst = append(dst, `{"float":"`...)
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		return append(dst, `"}`...)
+	case reldb.KindString:
+		s, _ := v.AsString()
+		if utf8.ValidString(s) {
+			return appendString(dst, s)
+		}
+		dst = append(dst, `{"bytes":"`...)
+		dst = base64.StdEncoding.AppendEncode(dst, []byte(s))
+		return append(dst, `"}`...)
+	default:
+		return append(dst, "null"...)
+	}
+}
+
+// appendString appends s as a JSON string literal, escaped exactly as
+// encoding/json escapes with HTML escaping off: `"` and `\`, the short
+// forms \b \f \n \r \t, \u00XX for the other control bytes, \ufffd for
+// each byte of invalid UTF-8, and \u2028 / \u2029.
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // DecodeValue parses one decoded-JSON value (an element of the tree

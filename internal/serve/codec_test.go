@@ -49,39 +49,48 @@ func binaryEq(t *testing.T, a, b reldb.Value) bool {
 	return bytes.Equal(ab, bb)
 }
 
-// TestValueCodecEdgeCases pins the cases plain encoding/json gets
-// wrong: int64 past 2^53, the Int/Float kind split for equal numerics
-// (cross-kind values stored in float attributes), negative zero, ±Inf,
-// NaN payload bits, and strings that are not valid UTF-8.
+// valueFixtures are the cases plain encoding/json gets wrong: int64
+// past 2^53, the Int/Float kind split for equal numerics (cross-kind
+// values stored in float attributes), negative zero, ±Inf, NaN payload
+// bits, and strings that are not valid UTF-8 — plus strings holding
+// every character class JSON string escaping treats specially.
+var valueFixtures = []reldb.Value{
+	reldb.Null(),
+	reldb.Bool(true),
+	reldb.Bool(false),
+	reldb.Int(0),
+	reldb.Int(-1),
+	reldb.Int(math.MaxInt64),
+	reldb.Int(math.MinInt64),
+	reldb.Int(1<<53 + 1), // first integer JSON numbers cannot hold
+	reldb.Float(0),
+	reldb.Float(math.Copysign(0, -1)), // -0.0
+	reldb.Float(3),                    // same numeric as Int(3), different kind
+	reldb.Float(0.1),
+	reldb.Float(1e21), // 'g' switches to an exponent
+	reldb.Float(math.MaxFloat64),
+	reldb.Float(math.SmallestNonzeroFloat64),
+	reldb.Float(math.Inf(1)),
+	reldb.Float(math.Inf(-1)),
+	reldb.Float(math.NaN()),
+	reldb.Float(math.Float64frombits(0x7ff8_0000_0000_0001)), // NaN, nonstandard payload
+	reldb.Float(math.Float64frombits(0xfff0_0000_0000_0001)), // signalling NaN, sign bit set
+	reldb.String(""),
+	reldb.String("plain"),
+	reldb.String("non-ASCII: héllo, 世界"),
+	reldb.String("embedded \x00 NUL"),
+	reldb.String("quote \" backslash \\ slash /"),
+	reldb.String("\b\f\n\r\t \x01\x1f \x7f"),
+	reldb.String("line\u2028paragraph\u2029separators"),
+	reldb.String("<script>&amp;</script>"),
+	reldb.String("\xff\xfe not UTF-8"),
+	reldb.String(string([]byte{0x80, 0x81, 'a', 0xc3})), // truncated sequences
+	reldb.String(strings.Repeat("x", 1<<16)),
+}
+
+// TestValueCodecEdgeCases round-trips every fixture through the wire.
 func TestValueCodecEdgeCases(t *testing.T) {
-	cases := []reldb.Value{
-		reldb.Null(),
-		reldb.Bool(true),
-		reldb.Bool(false),
-		reldb.Int(0),
-		reldb.Int(-1),
-		reldb.Int(math.MaxInt64),
-		reldb.Int(math.MinInt64),
-		reldb.Int(1<<53 + 1), // first integer JSON numbers cannot hold
-		reldb.Float(0),
-		reldb.Float(math.Copysign(0, -1)), // -0.0
-		reldb.Float(3),                    // same numeric as Int(3), different kind
-		reldb.Float(0.1),
-		reldb.Float(math.MaxFloat64),
-		reldb.Float(math.SmallestNonzeroFloat64),
-		reldb.Float(math.Inf(1)),
-		reldb.Float(math.Inf(-1)),
-		reldb.Float(math.NaN()),
-		reldb.Float(math.Float64frombits(0x7ff8_0000_0000_0001)), // NaN, nonstandard payload
-		reldb.String(""),
-		reldb.String("plain"),
-		reldb.String("non-ASCII: héllo, 世界"),
-		reldb.String("embedded \x00 NUL"),
-		reldb.String("\xff\xfe not UTF-8"),
-		reldb.String(string([]byte{0x80, 0x81, 'a', 0xc3})), // truncated sequences
-		reldb.String(strings.Repeat("x", 1<<16)),
-	}
-	for _, v := range cases {
+	for _, v := range valueFixtures {
 		got := roundTrip(t, v)
 		if !binaryEq(t, v, got) {
 			t.Errorf("round trip changed %s (kind %s) into %s (kind %s)", v, v.Kind(), got, got.Kind())

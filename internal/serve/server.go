@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -192,6 +193,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeBody sends a 200 whose JSON body is already encoded, in one
+// write with its Content-Length.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 // writeError sends {"error": msg}.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]any{"error": fmt.Sprintf(format, args...)})
@@ -286,8 +297,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	} else {
-		rtx := s.cfg.DB.BeginRead()
-		defer rtx.Close()
 		infos = make([]objInfo, 0, len(s.cfg.Objects))
 		for name, def := range s.cfg.Objects {
 			infos = append(infos, objInfo{
@@ -340,15 +349,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "instantiate: %v", err)
 		return
 	}
-	docs := make([]any, len(insts))
-	for i, inst := range insts {
-		docs[i] = InstanceDoc(inst)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":      len(docs),
-		"generation": gen,
-		"instances":  docs,
-	})
+	writeBody(w, AppendQueryBody(nil, insts, gen))
 }
 
 // handleGet answers GET /objects/{name}/{key...}: one instance by pivot
@@ -384,7 +385,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no %s instance with that key", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, InstanceDoc(inst))
+	writeBody(w, append(AppendInstance(nil, inst), '\n'))
 }
 
 // pathKey parses slash-separated path segments into a typed pivot key.

@@ -6,11 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"penguin/internal/obs"
+	"penguin/internal/oql"
+	"penguin/internal/reldb"
 	"penguin/internal/university"
 	"penguin/internal/viewobject"
 	"penguin/internal/vupdate"
@@ -38,6 +41,20 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *obs.Registry) {
 // response body (UseNumber, like a careful client).
 func do(t *testing.T, s *Server, method, path string, body any) (int, map[string]any) {
 	t.Helper()
+	code, raw := doRaw(t, s, method, path, body)
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("%s %s: bad response body: %v", method, path, err)
+	}
+	return code, doc
+}
+
+// doRaw runs one request through the handler tree and returns the
+// response body as sent, checking its Content-Length when one is set.
+func doRaw(t *testing.T, s *Server, method, path string, body any) (int, []byte) {
+	t.Helper()
 	var rd *bytes.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
@@ -51,13 +68,10 @@ func do(t *testing.T, s *Server, method, path string, body any) (int, map[string
 	req := httptest.NewRequest(method, path, rd)
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
-	var doc map[string]any
-	dec := json.NewDecoder(w.Body)
-	dec.UseNumber()
-	if err := dec.Decode(&doc); err != nil {
-		t.Fatalf("%s %s: bad response body: %v", method, path, err)
+	if cl := w.Header().Get("Content-Length"); cl != "" && cl != strconv.Itoa(w.Body.Len()) {
+		t.Fatalf("%s %s: Content-Length %s for a %d-byte body", method, path, cl, w.Body.Len())
 	}
-	return w.Code, doc
+	return w.Code, w.Body.Bytes()
 }
 
 func TestListObjects(t *testing.T) {
@@ -91,6 +105,31 @@ func TestQueryEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("query = %d: %v", code, doc)
 	}
+	// The body is byte for byte the reference encoding of the same
+	// instances, for the Figure 4 answer and for both full extents.
+	for _, c := range []struct{ name, path, oql string }{
+		{"omega", "/objects/omega?q=Level+%3D+%27graduate%27+and+count%28STUDENT%29+%3C+5",
+			"Level = 'graduate' and count(STUDENT) < 5"},
+		{"omega", "/objects/omega", ""},
+		{"omega-prime", "/objects/omega-prime", ""},
+	} {
+		def := s.cfg.Objects[c.name]
+		q, err := oql.Parse(def, c.oql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtx := s.cfg.DB.BeginRead()
+		insts, err := viewobject.Instantiate(rtx, def, q)
+		gen := rtx.Generation()
+		rtx.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, body := doRaw(t, s, "GET", c.path, nil); !bytes.Equal(body, referenceQueryBody(t, insts, gen)) {
+			t.Errorf("GET %s body differs from the reference encoding:\n got %s\nwant %s",
+				c.path, body, referenceQueryBody(t, insts, gen))
+		}
+	}
 	n, _ := doc["count"].(json.Number)
 	if v, _ := n.Int64(); v < 1 {
 		t.Fatalf("Figure 4 query selected %s instances, want >= 1 (CS345)", n)
@@ -119,6 +158,18 @@ func TestGetByKey(t *testing.T) {
 	code, doc := do(t, s, "GET", "/objects/omega/CS345", nil)
 	if code != http.StatusOK {
 		t.Fatalf("get = %d: %v", code, doc)
+	}
+	for _, c := range []struct{ name, key string }{{"omega", "CS345"}, {"omega-prime", "CS345"}, {"omega", "CS101"}} {
+		rtx := s.cfg.DB.BeginRead()
+		inst, ok, err := viewobject.InstantiateByKey(rtx, s.cfg.Objects[c.name], reldb.Tuple{reldb.String(c.key)})
+		rtx.Close()
+		if err != nil || !ok {
+			t.Fatalf("instantiate %s %s: %v %v", c.name, c.key, ok, err)
+		}
+		want := referenceJSON(t, InstanceDoc(inst))
+		if _, body := doRaw(t, s, "GET", "/objects/"+c.name+"/"+c.key, nil); !bytes.Equal(body, want) {
+			t.Errorf("GET %s/%s body differs from the reference encoding:\n got %s\nwant %s", c.name, c.key, body, want)
+		}
 	}
 	if doc["CourseID"] != "CS345" {
 		t.Errorf("CourseID = %v", doc["CourseID"])

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
 
 	"penguin/internal/obs"
+	"penguin/internal/oql"
 	"penguin/internal/reldb"
 	"penguin/internal/reldb/shard"
 	"penguin/internal/university"
@@ -87,6 +89,25 @@ func TestShardedQueryFansOut(t *testing.T) {
 	}
 	if !found {
 		t.Error("CS345 missing from the sharded Figure 4 result")
+	}
+	// The merged body is byte for byte the reference encoding of the
+	// cluster's answer, each instance under its own shard's definition.
+	def, err := c.Object("omega", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := oql.Parse(def, "Level = 'graduate' and count(STUDENT) < 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := c.Instantiate("omega", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceQueryBody(t, answer, c.Generation())
+	if _, body := doRaw(t, s, "GET", "/objects/omega?q="+
+		"Level+%3D+%27graduate%27+and+count%28STUDENT%29+%3C+5", nil); !bytes.Equal(body, want) {
+		t.Errorf("sharded query body differs from the reference encoding:\n got %s\nwant %s", body, want)
 	}
 
 	// Unfiltered listing: all 6 instances, merged in pivot-key order.

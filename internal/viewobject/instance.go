@@ -85,6 +85,18 @@ func (n *InstNode) Children(childID string) []*InstNode {
 	return append([]*InstNode(nil), n.children[childID]...)
 }
 
+// Value returns attribute i of the component's full-width tuple. Unlike
+// Tuple it copies nothing, for read paths that visit every node.
+func (n *InstNode) Value(i int) reldb.Value { return n.tuple[i] }
+
+// NumChildren returns how many sub-instances sit under the given child
+// node ID.
+func (n *InstNode) NumChildren(childID string) int { return len(n.children[childID]) }
+
+// Child returns sub-instance j under the given child node ID, in
+// insertion order. Unlike Children it copies nothing.
+func (n *InstNode) Child(childID string, j int) *InstNode { return n.children[childID][j] }
+
 // AddChild attaches a sub-instance for the named child node and returns
 // it. The child ID must be one of the node's children in the definition;
 // the tuple must be full-width for the child's relation.
